@@ -1,6 +1,6 @@
 //! Harness wall-clock benchmark: how much host time one simulated cycle
 //! costs, per workload and mode, over the Figure 7 suite. One-time
-//! preparation (IR build, analysis, decode, memory image) is timed
+//! preparation (IR build, analysis, transform, decode) is timed
 //! separately from simulation, so ns-per-cycle measures dispatch only.
 //!
 //! A thin wrapper over the simulation farm (`--jobs N`, default host

@@ -296,14 +296,13 @@ impl SweepMode {
 }
 
 /// A shareable preparation of one benchmark in one sweep mode: the
-/// [`PreparedProgram`] (decoded IR, initial image, transform), the kernel
-/// id, and the wall time the whole preparation took — workload
-/// construction, IR build, loop analysis, Spice transform, decode and
-/// image. The farm shares one `SweepPrep` across jobs through
-/// `spice_farm::PreparedCache`; a serial run builds it inline and uses it
-/// once. Either way [`run_prepared_sweep`] produces the same simulated
-/// numbers, which is what keeps farm artifacts byte-identical to serial
-/// ones.
+/// [`PreparedProgram`] (decoded IR, transform), the kernel id, and the
+/// wall time the whole preparation took — workload construction, IR
+/// build, loop analysis, Spice transform and decode. The farm shares one
+/// `SweepPrep` across jobs through `spice_farm::PreparedCache`; a serial
+/// run builds it inline and uses it once. Either way
+/// [`run_prepared_sweep`] produces the same simulated numbers, which is
+/// what keeps farm artifacts byte-identical to serial ones.
 #[derive(Debug, Clone)]
 pub struct SweepPrep {
     /// The shared immutable program state.
@@ -1023,7 +1022,7 @@ pub struct HarnessPerfRow {
     /// Total simulated cycles of the run.
     pub simulated_cycles: u64,
     /// Host wall nanoseconds of the one-time preparation: workload
-    /// construction, IR build, analysis, transform, decode, initial image.
+    /// construction, IR build, analysis, transform, decode.
     /// A sweep pays this once per `(benchmark, mode)` and shares the result
     /// across jobs, so it is reported separately and excluded from
     /// [`ns_per_cycle`](HarnessPerfRow::ns_per_cycle).

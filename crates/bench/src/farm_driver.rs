@@ -12,7 +12,7 @@
 //!   **conflict-probe jobs** per benchmark for Table 2;
 //! * one job per **ablation variant**.
 //!
-//! Each preparation (IR build → analysis → transform → decode → image) is
+//! Each preparation (IR build → analysis → transform → decode) is
 //! built once in a [`PreparedCache`] keyed by
 //! [`sweep_prep_key`](crate::experiments::sweep_prep_key) and shared by
 //! `Arc` across every job that needs it; at full size the Table 2

@@ -3,11 +3,12 @@
 //! A parallel sweep (the `spice-farm` engine) runs the same workload program
 //! under many jobs — sequential and Spice, different thread counts,
 //! different seeds. Everything immutable about such a run can be built
-//! exactly once and shared: the (possibly transformed) [`Program`], its
-//! [`DecodedProgram`] execution form, and the initial memory image with the
-//! globals materialized. [`PreparedProgram`] is that bundle, with the
-//! shared pieces behind [`Arc`] so instantiating a machine for one more job
-//! is an image clone plus two reference-count bumps — no re-decode.
+//! exactly once and shared: the (possibly transformed) [`Program`] and its
+//! [`DecodedProgram`] execution form. [`PreparedProgram`] is that bundle,
+//! with the shared pieces behind [`Arc`] so instantiating a machine for one
+//! more job is two reference-count bumps plus a fresh memory — no re-decode.
+//! That memory is a zeroed allocation on demand-zero pages with only the
+//! globals written, so instantiation never copies or scans the heap.
 //!
 //! [`SimBackend::load`](crate::backend::SimBackend) is itself implemented
 //! over [`PreparedProgram::spice`], so a serial run and a sweep job execute
@@ -23,7 +24,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use spice_ir::exec::{BackendError, LoadOptions};
-use spice_ir::interp::FlatMemory;
 use spice_ir::lint::lint_spice;
 use spice_ir::{DecodedProgram, FuncId, Program};
 use spice_sim::{Machine, MachineConfig};
@@ -45,32 +45,27 @@ enum PreparedKind {
 }
 
 /// An immutable, shareable preparation of one program for one machine
-/// configuration: decoded form, initial memory image, and (for Spice runs)
-/// the transformed loop. Build once, instantiate per job.
+/// configuration: decoded form and (for Spice runs) the transformed loop.
+/// Build once, instantiate per job.
 #[derive(Debug, Clone)]
 pub struct PreparedProgram {
     program: Arc<Program>,
     decoded: Arc<DecodedProgram>,
-    /// Memory image with globals materialized and the heap zeroed — the
-    /// state every job's `init` starts from.
-    image: FlatMemory,
     config: MachineConfig,
     kind: PreparedKind,
     build_nanos: u128,
 }
 
 impl PreparedProgram {
-    /// Prepares `program` for sequential execution on `config`: decode plus
-    /// initial image, no transformation.
+    /// Prepares `program` for sequential execution on `config`: decode only,
+    /// no transformation.
     #[must_use]
     pub fn sequential(config: MachineConfig, program: Program) -> Self {
         let started = Instant::now();
-        let image = FlatMemory::for_program(&program, config.heap_words);
         let decoded = Arc::new(DecodedProgram::new(&program));
         PreparedProgram {
             program: Arc::new(program),
             decoded,
-            image,
             config,
             kind: PreparedKind::Sequential,
             build_nanos: started.elapsed().as_nanos(),
@@ -138,12 +133,10 @@ impl PreparedProgram {
                 );
             }
         }
-        let image = FlatMemory::for_program(&program, config.heap_words);
         let decoded = Arc::new(DecodedProgram::new(&program));
         Ok(PreparedProgram {
             program: Arc::new(program),
             decoded,
-            image,
             config,
             kind: PreparedKind::Spice(Box::new(spice)),
             build_nanos: started.elapsed().as_nanos(),
@@ -151,7 +144,7 @@ impl PreparedProgram {
     }
 
     /// Wall-clock nanoseconds the preparation took (analysis + transform +
-    /// image + decode). This is the one-time cost a sweep amortizes and a
+    /// decode). This is the one-time cost a sweep amortizes and a
     /// harness-performance report must not charge to simulation.
     #[must_use]
     pub fn build_nanos(&self) -> u128 {
@@ -180,16 +173,16 @@ impl PreparedProgram {
         }
     }
 
-    /// Instantiates a fresh machine over the shared program state: a clone
-    /// of the initial image, shared `Arc`s for the program and its decoded
-    /// form. Mutations of one instantiation never touch another.
+    /// Instantiates a fresh machine over the shared program state: shared
+    /// `Arc`s for the program and its decoded form, and its own memory with
+    /// the globals materialized (see [`Machine::from_shared`]). Mutations of
+    /// one instantiation never touch another.
     #[must_use]
     pub fn machine(&self) -> Machine {
         Machine::from_shared(
             self.config.clone(),
             Arc::clone(&self.program),
             Arc::clone(&self.decoded),
-            self.image.clone(),
         )
     }
 
@@ -209,6 +202,7 @@ mod tests {
     use super::*;
     use crate::pipeline::run_sequential;
     use spice_ir::builder::FunctionBuilder;
+    use spice_ir::interp::FlatMemory;
     use spice_ir::{BinOp, Operand};
 
     fn list_sum_program(capacity: i64) -> (Program, FuncId, i64) {
@@ -300,5 +294,44 @@ mod tests {
                 assert_eq!(report.return_value, Some(expected));
             }
         }
+    }
+
+    /// A machine's memory is exactly what `FlatMemory::for_program` builds
+    /// for its program and the prepared configuration: same words, same
+    /// allocation cursor.
+    fn assert_memory_is_fresh_image(prepared: &PreparedProgram) {
+        let machine = prepared.machine();
+        let expected = FlatMemory::for_program(machine.program(), prepared.config().heap_words);
+        assert_eq!(machine.mem().heap_next(), expected.heap_next());
+        assert!(machine.mem().words() == expected.words(), "memory differs");
+    }
+
+    #[test]
+    fn sequential_machine_memory_equals_program_image() {
+        let (mut program, _, _) = list_sum_program(64);
+        program.add_global_init("seed", 4, vec![7, -8, 9]);
+        let prepared = PreparedProgram::sequential(MachineConfig::test_tiny(1), program);
+        assert_memory_is_fresh_image(&prepared);
+    }
+
+    /// The Spice preparation's heap is the larger of the machine's own
+    /// reservation and `LoadOptions::heap_words`, and the transform's
+    /// initialized globals are materialized.
+    #[test]
+    fn spice_machine_memory_equals_program_image() {
+        let (program, f, _) = list_sum_program(64);
+        let base = MachineConfig::test_tiny(2);
+        let requested = base.heap_words * 2;
+        let prepared = PreparedProgram::spice(
+            base,
+            2,
+            PredictorOptions::default(),
+            program,
+            f,
+            LoadOptions::new(requested, Some(16)),
+        )
+        .unwrap();
+        assert_eq!(prepared.config().heap_words, requested);
+        assert_memory_is_fresh_image(&prepared);
     }
 }

@@ -1,8 +1,8 @@
 //! Build-once cache for shared immutable job state.
 //!
 //! A sweep's jobs repeatedly need the same expensive immutable artifact —
-//! for the simulation farm, a prepared program (decoded IR + initial memory
-//! image). [`PreparedCache`] memoizes such builds by string key: the first
+//! for the simulation farm, a prepared program (transformed and decoded
+//! IR). [`PreparedCache`] memoizes such builds by string key: the first
 //! job to ask builds (fallibly), every later job — on any worker thread —
 //! gets the shared [`Arc`]. A concurrent second requester for the same key
 //! blocks until the first build finishes instead of duplicating it; errors

@@ -17,7 +17,7 @@
 //!   seeded round-robin plus a global injector; idle workers steal the
 //!   oldest task of the most loaded peer. No external crates.
 //! * [`PreparedCache`] — a build-once, string-keyed cache so expensive
-//!   immutable state (decoded programs, initial memory images) is built
+//!   immutable state (transformed, decoded programs) is built
 //!   exactly once and shared by `Arc` across all jobs, with build time
 //!   accounted separately from simulate time.
 //!

@@ -1276,24 +1276,24 @@ impl Machine {
     /// into its dense execution form.
     #[must_use]
     pub fn new(config: MachineConfig, program: Program) -> Self {
-        let mem = FlatMemory::for_program(&program, config.heap_words);
         let decoded = Arc::new(DecodedProgram::new(&program));
-        Machine::from_shared(config, Arc::new(program), decoded, mem)
+        Machine::from_shared(config, Arc::new(program), decoded)
     }
 
-    /// Creates a machine from already-shared immutable state: the program,
-    /// its decoded form, and an initial memory image (typically a clone of a
-    /// prepared snapshot). This is the decode-once path a parallel sweep
+    /// Creates a machine from already-shared immutable state: the program
+    /// and its decoded form. This is the decode-once path a parallel sweep
     /// uses — N machines over one `Arc<DecodedProgram>` instead of N
-    /// decodes. `mem` must have been built for `program` with at least
-    /// `config.heap_words` of heap (as [`FlatMemory::for_program`] does).
+    /// decodes. Memory is built here with [`FlatMemory::for_program`]: a
+    /// zeroed allocation the OS backs with demand-zero pages, with only the
+    /// globals written, so a page becomes resident only once the workload
+    /// touches it.
     #[must_use]
     pub fn from_shared(
         config: MachineConfig,
         program: Arc<Program>,
         decoded: Arc<DecodedProgram>,
-        mem: FlatMemory,
     ) -> Self {
+        let mem = FlatMemory::for_program(&program, config.heap_words);
         let hier = MemoryHierarchy::new(&config);
         let cores: Vec<CoreState> = (0..config.cores)
             .map(|_| {
